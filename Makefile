@@ -3,7 +3,7 @@ GO ?= go
 # raises it to minutes (make fuzz FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet test race bench bench-all obs-bench campaign-smoke cover-smoke crash-resume-smoke explore-smoke profile-smoke rig-smoke kernel-diff-smoke fuzz
+.PHONY: verify build vet test race bench bench-all obs-bench campaign-smoke crash-resume-smoke explore-smoke rig-smoke kernel-diff-smoke fuzz
 
 # Tier-1 verification: everything CI runs.
 verify: build vet test race
@@ -39,19 +39,6 @@ campaign-smoke:
 		"$$tmp/castanet" -campaign switch -runs 8 -shards 2 -seed 1 -failfast
 	$(GO) test -race -count=1 -run 'TestCommandLineTools/castanet-serve-telemetry' .
 
-# Functional-coverage smoke: the reference campaigns must meet the
-# per-group coverage floors committed in COVER_FLOOR.json — the CI
-# contract that keeps the instrumented bins actually exercised. The
-# parameters here are the ones the floors were measured at; runs are
-# seed-deterministic, so a miss means the instrumentation or the
-# stimulus changed, not noise.
-cover-smoke:
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-		$(GO) build -o "$$tmp/castanet" ./cmd/castanet && \
-		"$$tmp/castanet" -campaign switch -runs 16 -shards 2 -seed 1 -cover-floor COVER_FLOOR.json && \
-		"$$tmp/castanet" -campaign policer -runs 8 -shards 2 -seed 2 -cover-floor COVER_FLOOR.json && \
-		"$$tmp/castanet" -campaign acct -runs 6 -shards 2 -seed 3 -cover-floor COVER_FLOOR.json
-
 # Durability smoke: run a reference campaign, SIGKILL a checkpointed run
 # of the same spec mid-flight, resume it, and require the resumed digest
 # file to be byte-identical to the uninterrupted reference.
@@ -65,31 +52,28 @@ crash-resume-smoke:
 explore-smoke:
 	sh scripts/explore_smoke.sh
 
-# Profiler smoke: the -profile hotspot table is a deterministic artifact.
-# Two runs of the same experiment and seed must print byte-identical
-# "profile " lines; the wall-clock "phase " lines after them legitimately
-# differ and are excluded by the grep.
-profile-smoke:
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-		$(GO) build -o "$$tmp/castanet" ./cmd/castanet && \
-		"$$tmp/castanet" -experiment e1 -cells 300 -seed 7 -profile | grep '^profile ' > "$$tmp/p1" && \
-		"$$tmp/castanet" -experiment e1 -cells 300 -seed 7 -profile | grep '^profile ' > "$$tmp/p2" && \
-		test -s "$$tmp/p1" && cmp "$$tmp/p1" "$$tmp/p2" && \
-		echo "profile-smoke: deterministic hotspot table ok"
-
 # Kernel-equivalence smoke: the compiled bit-parallel fast path must be
 # observably identical to the plain event kernel — same VCD bytes, same
 # event/run/delta/time-point counters, same coverage and profile — on the
 # pinned property-test seeds and on the full rig workloads, under the
 # race detector. -short keeps the hdl property test at its three pinned
-# seeds; the nightly fuzz run explores beyond them.
+# seeds; the nightly fuzz run explores beyond them. The switch rig's
+# pinned process runs per clock cycle ride along, so both-edge clock
+# wake-ups or always-running idle ports cannot come back unnoticed.
 kernel-diff-smoke:
-	$(GO) test -race -count=1 -short -run 'KernelEquivalence' -v ./internal/hdl/ ./internal/coverify/
+	$(GO) test -race -count=1 -short -run 'KernelEquivalence|ProcessRunsPinned' -v ./internal/hdl/ ./internal/coverify/
 
-# Rig smoke: the functional-coverage floors and the deterministic
-# profiler artifact checked on one binary built once — the cover-smoke
-# and profile-smoke sequences share the build instead of paying it twice
-# in separate CI jobs.
+# Rig smoke: functional coverage and the profiler on one binary built
+# once.
+# Coverage: the reference campaigns must meet the per-group floors
+# committed in COVER_FLOOR.json — the CI contract that keeps the
+# instrumented bins actually exercised. The parameters here are the ones
+# the floors were measured at; runs are seed-deterministic, so a miss
+# means the instrumentation or the stimulus changed, not noise.
+# Profiler: the -profile hotspot table is a deterministic artifact. Two
+# runs of the same experiment and seed must print byte-identical
+# "profile " lines; the wall-clock "phase " lines after them
+# legitimately differ and are excluded by the grep.
 rig-smoke:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) build -o "$$tmp/castanet" ./cmd/castanet && \

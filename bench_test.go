@@ -38,7 +38,8 @@ func benchHorizon(cellsPerPort uint64, load float64) sim.Time {
 // BenchmarkE1_CosimThroughput regenerates the co-simulation half of the
 // §2 performance paragraph: cells through the 4-port switch plus global
 // control unit, test bench at the network level. The paper reports ~30 s
-// for 10,000 cells (~1,300 clock cycles/s) on an UltraSparc.
+// for 10,000 cells (~1,300 clock cycles/s) on an UltraSparc. The rig runs
+// batched, the coupling the CLI and campaigns use by default.
 func BenchmarkE1_CosimThroughput(b *testing.B) {
 	const cellsPerPort, load = 250, 0.8
 	var cells, cycles uint64
@@ -46,6 +47,7 @@ func BenchmarkE1_CosimThroughput(b *testing.B) {
 		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{
 			Seed:    uint64(i + 1),
 			Traffic: benchTraffic(cellsPerPort, load),
+			Batch:   true,
 		})
 		if err := rig.Run(benchHorizon(cellsPerPort, load)); err != nil {
 			b.Fatal(err)
@@ -123,7 +125,8 @@ func BenchmarkE2_SyncWindow(b *testing.B) {
 }
 
 // BenchmarkE3_TimeScale measures the Fig.-4/§3.2 abstraction gap: HDL
-// events and clock cycles per network-simulator event.
+// events and clock cycles per network-simulator event, on the batched
+// production coupling.
 func BenchmarkE3_TimeScale(b *testing.B) {
 	const cellsPerPort, load = 100, 0.25
 	var netEv, hdlEv, cycles, cells uint64
@@ -131,6 +134,7 @@ func BenchmarkE3_TimeScale(b *testing.B) {
 		rig := coverify.NewSwitchRig(coverify.SwitchRigConfig{
 			Seed:    uint64(i + 1),
 			Traffic: benchTraffic(cellsPerPort, load),
+			Batch:   true,
 		})
 		if err := rig.Run(benchHorizon(cellsPerPort, load)); err != nil {
 			b.Fatal(err)

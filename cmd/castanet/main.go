@@ -280,8 +280,8 @@ func run() int {
 			obs.WriteCoverText(os.Stdout, run.CoverReg().Snapshot())
 		}
 		if profiling {
-			// The "profile " lines are seed-deterministic (the profile-smoke
-			// CI job diffs them); the "phase " lines after them are
+			// The "profile " lines are seed-deterministic (make rig-smoke
+			// diffs them); the "phase " lines after them are
 			// wall-clock and vary run to run.
 			activity := run.Prof().Activity()
 			phases := run.Prof().PhaseProf().Snapshot()

@@ -21,7 +21,7 @@ var ErrCheckpoint = errors.New("campaign: bad checkpoint")
 // Checkpoint file layout (all integers big-endian):
 //
 //	offset 0   magic  "CKPT"
-//	offset 4   u16    version (2)
+//	offset 4   u16    version (3)
 //	offset 6   u32    CRC-32 (IEEE) of the payload
 //	offset 10  u32    payload length
 //	offset 14  payload

@@ -220,6 +220,25 @@ func (s *EntityServer) recvUnit() ([]ipc.Message, error) {
 	return []ipc.Message{m}, nil
 }
 
+// endErr maps the transport error that ended Serve to its result, the
+// same on the receive and the send path: a watchdog expiry is a timeout,
+// a client close is the clean end of co-simulation (nil), anything else
+// is a coupling failure. The send path meets the client's close when the
+// client hangs up while the last reply still awaits its acknowledgement.
+func (s *EntityServer) endErr(op string, err error) error {
+	if s.watchdogFired.Load() {
+		return &CouplingError{
+			Class: ClassTimeout,
+			Op:    op,
+			Err:   fmt.Errorf("%w: client silent beyond %v", ipc.ErrTimeout, s.Watchdog),
+		}
+	}
+	if errors.Is(err, ipc.ErrClosed) || Classify(err) == ClassClosed {
+		return nil
+	}
+	return coupErr(op, err)
+}
+
 // Serve runs the request loop. It returns nil when the client closes the
 // connection cleanly, and a *CouplingError when the link dies any other
 // way. The transport is closed on return, so a client blocked on a
@@ -243,17 +262,7 @@ func (s *EntityServer) Serve() error {
 	for {
 		unit, err := s.recvUnit()
 		if err != nil {
-			if s.watchdogFired.Load() {
-				return &CouplingError{
-					Class: ClassTimeout,
-					Op:    "serve",
-					Err:   fmt.Errorf("%w: client silent beyond %v", ipc.ErrTimeout, s.Watchdog),
-				}
-			}
-			if errors.Is(err, ipc.ErrClosed) || Classify(err) == ClassClosed {
-				return nil // client went away; a clean end of co-simulation
-			}
-			return coupErr("serve", err)
+			return s.endErr("serve", err)
 		}
 		if wd != nil {
 			wd.Reset(s.Watchdog)
@@ -267,7 +276,7 @@ func (s *EntityServer) Serve() error {
 		if derr != nil {
 			s.Entity.TakeOutbox() // discard the half-built unit
 			if serr := s.Transport.Send(ipc.Message{Kind: kindError, Time: s.Entity.HDL.Now(), Data: []byte(derr.Error())}); serr != nil {
-				return coupErr("send", serr)
+				return s.endErr("send", serr)
 			}
 			continue
 		}
@@ -278,17 +287,17 @@ func (s *EntityServer) Serve() error {
 			// batch-capable or the unit could not have arrived whole.
 			reply := append(resps, sync)
 			if err := s.Transport.(ipc.BatchTransport).SendBatch(reply); err != nil {
-				return coupErr("send", err)
+				return s.endErr("send", err)
 			}
 			continue
 		}
 		for _, resp := range resps {
 			if err := s.Transport.Send(resp); err != nil {
-				return coupErr("send", err)
+				return s.endErr("send", err)
 			}
 		}
 		if err := s.Transport.Send(sync); err != nil {
-			return coupErr("send", err)
+			return s.endErr("send", err)
 		}
 	}
 }

@@ -251,3 +251,68 @@ func TestInterfaceOnErrorHookStillWins(t *testing.T) {
 		t.Errorf("Err() = %v, want nil when a hook handles failures", iface.Err())
 	}
 }
+
+// ackDropper forwards everything but reliability acknowledgements, so
+// every reliable frame the peer sends stays unacknowledged.
+type ackDropper struct{ ipc.Transport }
+
+func (d ackDropper) Send(m ipc.Message) error {
+	if m.Kind == ipc.KindRelAck {
+		return nil
+	}
+	return d.Transport.Send(m)
+}
+
+// unackedServe starts an EntityServer behind a reliable envelope whose
+// replies the client receives but never acknowledges, and returns the
+// client together with Serve's result channel.
+func unackedServe(watchdog time.Duration) (*Remote, <-chan error) {
+	a, b := ipc.Pipe(16)
+	cfg := ipc.ReliableConfig{MaxRetries: 1000, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond}
+	client := ipc.NewReliable(ackDropper{a}, cfg)
+	srv := &EntityServer{Entity: newLoopbackEntity(), Transport: ipc.NewReliable(b, cfg), Watchdog: watchdog}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve() }()
+	return &Remote{Transport: client}, done
+}
+
+func awaitServe(t *testing.T, done <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve hung")
+		return nil
+	}
+}
+
+func TestEntityServerCloseDuringSendIsClean(t *testing.T) {
+	// The client has its answer and hangs up while the server's reliable
+	// reply still waits for the acknowledgement: the same clean end of
+	// co-simulation as a close seen on the receive path.
+	r, done := unackedServe(0)
+	if _, err := r.Send(ipc.Message{Kind: ipc.KindInit}); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if err := awaitServe(t, done); err != nil {
+		t.Fatalf("Serve = %v, want nil after the client closed during send", err)
+	}
+}
+
+func TestEntityServerWatchdogDuringSend(t *testing.T) {
+	// A client that stops acknowledging without closing is silent: the
+	// watchdog ends Serve on the send path with a timeout, not a clean
+	// close.
+	r, done := unackedServe(30 * time.Millisecond)
+	if _, err := r.Send(ipc.Message{Kind: ipc.KindInit}); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	err := awaitServe(t, done)
+	var ce *CouplingError
+	if !errors.As(err, &ce) || ce.Class != ClassTimeout || ce.Op != "send" {
+		t.Fatalf("Serve = %v, want timeout-classed CouplingError during send", err)
+	}
+}

@@ -112,3 +112,31 @@ func TestSwitchRigKernelEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestSwitchRigProcessRunsPinned pins the HDL kernel's deterministic work
+// counter on the switch rig at a fixed seed: process body executions per
+// clock cycle. Clocked processes are triggered by the rising edge only
+// (hdl.OnRising) and idle port writers and readers sleep, so a change
+// that re-adds both-edge wake-ups or keeps idle ports running moves this
+// number and fails here. The counter is identical on both kernels.
+func TestSwitchRigProcessRunsPinned(t *testing.T) {
+	const wantRuns, wantCycles = 1295354, 98655 // 13.13 per cycle; 58.0 with both-edge wake-ups
+	for _, noCompiled := range []bool{false, true} {
+		rig := NewSwitchRig(SwitchRigConfig{
+			Seed:       1,
+			Traffic:    lightTraffic(15),
+			Batch:      true,
+			NoCompiled: noCompiled,
+		})
+		if err := rig.Run(4 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		runs, cycles := rig.HDL.ProcessRuns(), rig.ClockCycles()
+		t.Logf("NoCompiled=%v: %d process runs over %d cycles = %.3f per cycle",
+			noCompiled, runs, cycles, float64(runs)/float64(cycles))
+		if runs != wantRuns || cycles != wantCycles {
+			t.Errorf("NoCompiled=%v: %d process runs over %d cycles, want %d over %d",
+				noCompiled, runs, cycles, wantRuns, wantCycles)
+		}
+	}
+}

@@ -216,10 +216,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 
 	// Request/stream state machine.
 	gcu := sw.gcu
-	h.Process(name+"_ctl", func() {
-		if !clk.Rising() {
-			return
-		}
+	h.OnRising(clk, name+"_ctl", func() {
 		switch {
 		case p.streaming:
 			p.streamBeat()
@@ -247,13 +244,10 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 		default:
 			p.reqDrv.SetBit(hdl.L0)
 		}
-	}, clk)
+	})
 
 	// Output collection from the internal bus.
-	h.Process(name+"_collect", func() {
-		if !clk.Rising() {
-			return
-		}
+	h.OnRising(clk, name+"_collect", func() {
 		if !busValid.Bit().IsHigh() {
 			return
 		}
@@ -290,14 +284,11 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 				accept.Hit()
 			}
 		}
-	}, clk)
+	})
 
 	// Output serializer.
 	p.writer = mapping.NewCellPortWriter(h, name+"_tx", clk, sw.Out[idx].Data, sw.Out[idx].Sync)
-	h.Process(name+"_txfeed", func() {
-		if !clk.Rising() {
-			return
-		}
+	h.OnRising(clk, name+"_txfeed", func() {
 		if len(p.outFifo) > 0 && !p.writer.Busy() && p.writer.Backlog() == 0 {
 			img := p.outFifo[0]
 			p.outFifo = p.outFifo[1:]
@@ -310,7 +301,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 			p.writer.Enqueue(cell)
 			sw.TxCells[idx]++
 		}
-	}, clk)
+	})
 
 	return p
 }
@@ -375,10 +366,7 @@ type globalControlUnit struct {
 
 func newGCU(h *hdl.Simulator, clk *hdl.Signal, sw *Switch) *globalControlUnit {
 	g := &globalControlUnit{sw: sw, granted: -1}
-	h.Process("gcu", func() {
-		if !clk.Rising() {
-			return
-		}
+	h.OnRising(clk, "gcu", func() {
 		if g.busy {
 			return
 		}
@@ -411,7 +399,7 @@ func newGCU(h *hdl.Simulator, clk *hdl.Signal, sw *Switch) *globalControlUnit {
 			g.Grants++
 			break
 		}
-	}, clk)
+	})
 	return g
 }
 

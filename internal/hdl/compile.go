@@ -415,12 +415,12 @@ func (s *Simulator) Compile() (*Plan, error) {
 		for _, in := range gt.ins {
 			live := in.watchers[:0]
 			for _, w := range in.watchers {
-				if w != gt.proc {
+				if w.p != gt.proc {
 					live = append(live, w)
 				}
 			}
 			for i := len(live); i < len(in.watchers); i++ {
-				in.watchers[i] = nil
+				in.watchers[i] = watch{}
 			}
 			in.watchers = live
 			in.gwatch = append(in.gwatch, gt)

@@ -12,8 +12,9 @@ import (
 
 // This file is the compiled≡event-driven differential harness. A byte
 // program (random bytes are always a valid program) elaborates a netlist —
-// input signals, structural gates, clocked registers, multi-driver
-// resolution, and a stimulus script that injects two-state values as well
+// input signals, structural gates, clocked registers, rising-edge
+// processes that sleep and are woken, multi-driver resolution, and a
+// stimulus script that injects two-state values as well
 // as X/Z/weak/uninitialized vectors — onto a fresh simulator. The same
 // program runs once on the plain nine-value event kernel and once with
 // Compile(), and every observable must agree: the full VCD byte stream,
@@ -86,7 +87,7 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal) (all []*Signal, hor
 		}
 	}
 	for r.more() {
-		switch r.next() % 8 {
+		switch r.next() % 9 {
 		case 0: // new stimulus input
 			if len(ins) >= diffMaxSignals {
 				continue
@@ -154,6 +155,30 @@ func buildDiffDesign(data []byte, s *Simulator, clk *Signal) (all []*Signal, hor
 			s.Schedule(at, func() { d2.Set(v) })
 			s.Schedule(at+3*diffClockPeriod, func() { d2.Set(NewLV(in.sig.width, Z)) })
 			stims++
+		case 8: // rising-edge register that sleeps every few edges and is
+			// woken by events on another signal and by a timed Wake
+			if len(all) >= 2*diffMaxSignals {
+				continue
+			}
+			d := all[int(r.next())%len(all)]
+			wake := all[int(r.next())%len(all)]
+			every := int(r.next()%4) + 1
+			at := sim.Duration(r.next()) * diffClockPeriod / 2
+			name := fmt.Sprintf("s%d", len(all))
+			q := s.Signal(name+"_q", d.width, U)
+			drv := q.Driver(name)
+			var p *Process
+			n := 0
+			p = s.OnRising(clk, name, func() {
+				drv.Set(d.Val().Clone())
+				if n++; n%every == 0 {
+					p.Sleep()
+				}
+			})
+			p.WakeOn(wake)
+			note(sim.Time(at))
+			s.Schedule(at, p.Wake)
+			addSig(q)
 		}
 	}
 	return all, horizon

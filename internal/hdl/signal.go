@@ -42,11 +42,27 @@ type Signal struct {
 
 	region *Region // purity-guard region, set by Compile for gate cones
 
-	eventStamp uint64 // stamp of the delta in which the last event occurred
-	watchers   []*Process
+	eventStamp uint64                            // stamp of the delta in which the last event occurred
+	watchers   []watch                           // one wake list, registration order
+	nrising    int                               // watchers qualified to rising edges
 	gwatch     []*Gate                           // compiled gates sensitive to this signal
 	onChange   []func(now sim.Time, old, new LV) // VCD and probes
 }
+
+// watch is one entry of a signal's wake list: a process and the event
+// qualifier under which the signal wakes it. Keeping every qualifier in
+// one list preserves registration order across plain and clocked
+// processes — processes that share Go state rely on it.
+type watch struct {
+	p    *Process
+	kind uint8
+}
+
+const (
+	watchAny    uint8 = iota // trigger on every event (sensitivity list)
+	watchRising              // trigger on a 0→1 event only (OnRising)
+	watchWake                // re-arm a sleeping process, no trigger (WakeOn)
+)
 
 // Name returns the signal's hierarchical name.
 func (g *Signal) Name() string { return g.name }
@@ -113,6 +129,12 @@ func (g *Signal) Rising() bool {
 	if g.width != 1 || g.eventStamp != g.sim.stamp {
 		return false
 	}
+	return g.rose()
+}
+
+// rose reports whether the last event of a one-bit signal went from a low
+// to a high value.
+func (g *Signal) rose() bool {
 	if g.pknown && g.pprevKnown {
 		return g.pval&1 != 0 && g.pprev&1 == 0
 	}
@@ -183,8 +205,14 @@ func (g *Signal) fire(old, new LV) {
 	s := g.sim
 	g.eventStamp = s.stamp
 	s.signalEvents++
-	for _, p := range g.watchers {
-		s.trigger(p)
+	rising := g.nrising > 0 && g.rose()
+	for _, w := range g.watchers {
+		switch {
+		case w.kind == watchAny, w.kind == watchRising && rising:
+			s.trigger(w.p)
+		case w.kind == watchWake:
+			w.p.asleep = false
+		}
 	}
 	for _, gt := range g.gwatch {
 		s.markDirty(gt)

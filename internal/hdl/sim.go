@@ -137,13 +137,15 @@ func (h *txnHeap) pop() *txn {
 func (h *txnHeap) len() int { return len(h.items) }
 
 // Process is a VHDL process: a body re-executed whenever a signal on its
-// sensitivity list has an event.
+// sensitivity list has an event — or, for a clocked process registered
+// with OnRising, only on the rising edge of its clock.
 type Process struct {
 	name      string
 	fn        func()
 	id        int // creation-order index into the profiler's accumulators
 	gate      *Gate
 	triggered bool
+	asleep    bool
 	runs      uint64
 }
 
@@ -152,6 +154,29 @@ func (p *Process) Name() string { return p.name }
 
 // Runs returns how many times the process body has executed.
 func (p *Process) Runs() uint64 { return p.runs }
+
+// Sleep parks the process: it stays on its signals' wake lists, but every
+// trigger is skipped — the body does not run and no run is counted —
+// until Wake re-arms it. Sleep is the process's promise that its body
+// would do nothing observable until then (an idle port writer re-driving
+// its idle word, a reader outside a cell).
+func (p *Process) Sleep() { p.asleep = true }
+
+// Wake re-arms a sleeping process. A process triggered in the current
+// delta but not yet reached by the process phase runs in this delta, at
+// its place in the trigger order, so a process woken by one registered
+// before it behaves exactly as if it had never slept; otherwise it runs
+// at its next trigger.
+func (p *Process) Wake() { p.asleep = false }
+
+// WakeOn installs a kernel-level wake hook: every event on g re-arms the
+// process (Wake) without triggering it. A wake in the same delta as the
+// process's clock edge is seen by that edge: the edge triggers a sleeping
+// process all the same, and the process phase checks the sleep state only
+// when it reaches the process.
+func (p *Process) WakeOn(g *Signal) {
+	g.watchers = append(g.watchers, watch{p: p, kind: watchWake})
+}
 
 // Simulator is the event-driven HDL simulation kernel. The central loop
 // implements the two-phase VHDL cycle: a signal-update phase applying all
@@ -294,13 +319,33 @@ func (s *Simulator) Signals() []*Signal { return s.signals }
 // at start of simulation (VHDL processes execute until their first wait at
 // elaboration) and then on every event of a listed signal.
 func (s *Simulator) Process(name string, fn func(), sensitivity ...*Signal) *Process {
+	p := s.newProcess(name, fn)
+	for _, g := range sensitivity {
+		g.watchers = append(g.watchers, watch{p: p, kind: watchAny})
+	}
+	s.trigger(p)
+	return p
+}
+
+// OnRising registers a clocked process: the kernel triggers it only on a
+// 0→1 event of clk ("if rising_edge(clk)" as the sensitivity itself), so
+// the falling edge costs it nothing. Unlike Process it skips the
+// elaboration run — a body guarded by a clock edge does nothing at
+// elaboration. clk must be one bit wide.
+func (s *Simulator) OnRising(clk *Signal, name string, fn func()) *Process {
+	if clk.width != 1 {
+		panic(fmt.Sprintf("hdl: OnRising on %q of width %d", clk.name, clk.width))
+	}
+	p := s.newProcess(name, fn)
+	clk.watchers = append(clk.watchers, watch{p: p, kind: watchRising})
+	clk.nrising++
+	return p
+}
+
+func (s *Simulator) newProcess(name string, fn func()) *Process {
 	p := &Process{name: name, fn: fn, id: len(s.processes)}
 	s.processes = append(s.processes, p)
 	s.prof.growProcess()
-	for _, g := range sensitivity {
-		g.watchers = append(g.watchers, p)
-	}
-	s.trigger(p)
 	return p
 }
 
@@ -524,6 +569,9 @@ func (s *Simulator) Step() (bool, error) {
 		}
 		for _, p := range run {
 			p.triggered = false
+			if p.asleep {
+				continue
+			}
 			p.runs++
 			s.procRuns++
 			if pr := s.prof; pr != nil {

@@ -13,7 +13,9 @@ import (
 // One cell occupies exactly 53 rising clock edges. When the transmit
 // queue is empty the writer inserts idle cells (when InsertIdle is set) or
 // drives zero with cellsync low, modeling the idle periods of a real ATM
-// line versus a gated test stream.
+// line versus a gated test stream. A gated writer drives that idle word
+// once and then sleeps until Enqueue/EnqueueRaw wakes it: re-driving the
+// same word every cycle would change nothing on the wire.
 type CellPortWriter struct {
 	InsertIdle bool
 
@@ -25,6 +27,7 @@ type CellPortWriter struct {
 
 	data *hdl.Driver
 	sync *hdl.Driver
+	proc *hdl.Process
 
 	queue   [][atm.CellBytes]byte
 	current [atm.CellBytes]byte
@@ -38,7 +41,7 @@ type CellPortWriter struct {
 
 // NewCellPortWriter attaches a writer to the simulator: data must be an
 // 8-bit signal, cellSync a 1-bit signal, clk the byte clock. The writer
-// registers a process sensitive to the rising clock edge.
+// registers a process triggered by the rising clock edge.
 func NewCellPortWriter(s *hdl.Simulator, name string, clk, data, cellSync *hdl.Signal) *CellPortWriter {
 	if data.Width() != 8 {
 		panic("mapping: cell data port must be 8 bits wide")
@@ -52,11 +55,7 @@ func NewCellPortWriter(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 	}
 	w.data.SetUint(0)
 	w.sync.SetBit(hdl.L0)
-	s.Process(name, func() {
-		if clk.Rising() {
-			w.tick()
-		}
-	}, clk)
+	w.proc = s.OnRising(clk, name, w.tick)
 	return w
 }
 
@@ -65,6 +64,7 @@ func NewCellPortWriter(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 // into the payload first (Cell.StampSeq).
 func (w *CellPortWriter) Enqueue(c *atm.Cell) {
 	w.queue = append(w.queue, c.Marshal())
+	w.proc.Wake()
 }
 
 // EnqueueRaw schedules a raw 53-octet image for transmission, including
@@ -72,6 +72,7 @@ func (w *CellPortWriter) Enqueue(c *atm.Cell) {
 // vectors take to the device.
 func (w *CellPortWriter) EnqueueRaw(img [atm.CellBytes]byte) {
 	w.queue = append(w.queue, img)
+	w.proc.Wake()
 }
 
 // Backlog returns the number of cells waiting (excluding the one in
@@ -99,6 +100,7 @@ func (w *CellPortWriter) tick() {
 		} else {
 			w.data.SetUint(0)
 			w.sync.SetBit(hdl.L0)
+			w.proc.Sleep()
 			return
 		}
 	}
@@ -119,7 +121,10 @@ func (w *CellPortWriter) tick() {
 // samples the data port on each rising clock edge, starts a new cell when
 // cellsync is high, and invokes OnCell for every completed 53-octet image.
 // HEC failures are surfaced through OnError; the cell is still delivered
-// to OnError callers for diagnosis.
+// to OnError callers for diagnosis. Outside a cell the reader sleeps, and
+// any event on cellsync wakes it through a kernel wake hook — the only
+// edge at which an idle reader does anything is one where cellsync is
+// high, and cellsync cannot turn high without an event.
 type CellPortReader struct {
 	// OnCell receives each correctly delineated, HEC-clean cell.
 	OnCell func(c *atm.Cell)
@@ -144,12 +149,18 @@ func NewCellPortReader(s *hdl.Simulator, name string, clk, data, cellSync *hdl.S
 	if data.Width() != 8 {
 		panic("mapping: cell data port must be 8 bits wide")
 	}
+	if cellSync.Width() != 1 {
+		panic("mapping: cellsync must be 1 bit wide")
+	}
 	r := &CellPortReader{}
-	s.Process(name, func() {
-		if clk.Rising() {
-			r.sample(data, cellSync)
+	var p *hdl.Process
+	p = s.OnRising(clk, name, func() {
+		r.sample(data, cellSync)
+		if !r.inCell && !cellSync.Bit().IsHigh() {
+			p.Sleep()
 		}
-	}, clk)
+	})
+	p.WakeOn(cellSync)
 	return r
 }
 

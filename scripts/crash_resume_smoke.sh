@@ -44,7 +44,14 @@ echo "crash-resume-smoke: checkpointed run, SIGKILL mid-flight"
     -checkpoint "$tmp/campaign.ckpt" -checkpoint-every 4 \
     >"$tmp/killed.log" 2>&1 &
 pid=$!
-sleep 1.5
+# Kill as soon as the first checkpoint lands, so the kill hits mid-flight
+# however fast the host is; stop waiting if the campaign ends first or
+# after 30 s.
+i=0
+while [ ! -f "$tmp/campaign.ckpt" ] && kill -0 "$pid" 2>/dev/null && [ "$i" -lt 600 ]; do
+    sleep 0.05
+    i=$((i + 1))
+done
 if kill -9 "$pid" 2>/dev/null; then
     echo "crash-resume-smoke: killed pid $pid"
 else

@@ -58,7 +58,14 @@ echo "explore-smoke: checkpointed exploration, SIGKILL mid-flight"
     -checkpoint "$tmp/explore.ckpt" -checkpoint-every 2 \
     >"$tmp/killed.log" 2>&1 &
 pid=$!
-sleep 1.5
+# Kill as soon as the first checkpoint lands, so the kill hits mid-flight
+# however fast the host is; stop waiting if the exploration ends first or
+# after 30 s.
+i=0
+while [ ! -f "$tmp/explore.ckpt" ] && kill -0 "$pid" 2>/dev/null && [ "$i" -lt 600 ]; do
+    sleep 0.05
+    i=$((i + 1))
+done
 if kill -9 "$pid" 2>/dev/null; then
     echo "explore-smoke: killed pid $pid"
 else
