@@ -61,7 +61,7 @@ explore-smoke:
 # pinned process runs per clock cycle ride along, so both-edge clock
 # wake-ups or always-running idle ports cannot come back unnoticed.
 kernel-diff-smoke:
-	$(GO) test -race -count=1 -short -run 'KernelEquivalence|ProcessRunsPinned' -v ./internal/hdl/ ./internal/coverify/
+	$(GO) test -race -count=1 -short -run 'KernelEquivalence|ProcessRunsPinned|FastForward|RunNeverTerminates' -v ./internal/hdl/ ./internal/coverify/
 
 # Rig smoke: functional coverage and the profiler on one binary built
 # once.

@@ -32,8 +32,10 @@
 //     measures a single pointer test, so a relative bound would gate
 //     timer noise;
 //
-// Absolute ns/op and cells/sec figures are printed for context but never
-// gated. Exit status: 0 clean, 1 regression, 2 usage/parse error.
+// A gated figure present in the baseline but absent from the current
+// report counts as a regression; figures only the current report has are
+// printed for context. Absolute ns/op and cells/sec figures are printed
+// for context but never gated. Exit status: 0 clean, 1 regression, 2 usage/parse error.
 package main
 
 import (
@@ -183,8 +185,16 @@ func compare(base, cur map[string]float64, tol float64, out io.Writer) int {
 		b, inBase := base[k]
 		c, inCur := cur[k]
 		if !inBase || !inCur {
+			// A gated figure the baseline has and the current report
+			// lacks fails: a gate that silently stops measuring is no
+			// gate. Figures new in the current report are context.
+			verdict := "missing (info)"
+			if inBase && gate(k) != "info" {
+				verdict = "MISSING (regression)"
+				regressions++
+			}
 			fmt.Fprintf(out, "%-42s %14s %14s %9s  %s\n",
-				k, fmtVal(b, inBase), fmtVal(c, inCur), "-", "missing (info)")
+				k, fmtVal(b, inBase), fmtVal(c, inCur), "-", verdict)
 			continue
 		}
 		delta := "-"

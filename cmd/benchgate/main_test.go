@@ -97,6 +97,40 @@ func TestGateFailsAllocGrowth(t *testing.T) {
 	}
 }
 
+// TestGateFailsMissingGatedFigure: a gated figure the baseline has and
+// the current report lacks is a regression, however the rest compares.
+// An ungated figure going missing, and a figure only the current report
+// has, stay informational.
+func TestGateFailsMissingGatedFigure(t *testing.T) {
+	dir := t.TempDir()
+	base := report(t, dir, "base.json", 2.8, 11.0, 0)
+	write := func(name, doc string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cur := write("cur.json", `{"speedup_small_delta": 2.8, "batch_encode_64_allocs_per_op": 0, "batch_encode_64_ns_per_op": 1700}`)
+	code, out := gateRun(t, base, cur)
+	if code != 1 {
+		t.Fatalf("gated figure missing from the current report: exit %d, want 1", code)
+	}
+	if !strings.Contains(out, "speedup_large_delta") || !strings.Contains(out, "MISSING (regression)") {
+		t.Fatalf("output does not name the missing figure:\n%s", out)
+	}
+	// Only ungated figures missing, plus one the baseline lacks: passes.
+	small := write("small.json", `{"speedup_small_delta": 2.8, "speedup_large_delta": 11.0}`)
+	extra := write("extra.json", `{"speedup_small_delta": 2.8, "speedup_large_delta": 11.0, "speedup_new": 1.0, "batch_encode_64_ns_per_op": 1}`)
+	if code, _ := gateRun(t, small, extra); code != 0 {
+		t.Fatalf("figure only in the current report: exit %d, want 0", code)
+	}
+	ungated := write("ungated.json", `{"speedup_small_delta": 2.8, "speedup_large_delta": 11.0, "batch_encode_64_ns_per_op": 1}`)
+	if code, _ := gateRun(t, ungated, small); code != 0 {
+		t.Fatalf("ungated figure missing: exit %d, want 0", code)
+	}
+}
+
 // TestGateImprovementPasses confirms the gate is one-sided: faster
 // speedups and fewer allocations never fail.
 func TestGateImprovementPasses(t *testing.T) {

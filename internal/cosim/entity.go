@@ -285,25 +285,15 @@ func (e *Entity) runBefore(t sim.Time) error {
 	if e.phases != nil {
 		defer e.phaseHDL(time.Now())
 	}
-	for e.HDL.NextTime() < t {
-		if _, err := e.HDL.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.HDL.RunBefore(t)
 }
 
 // runThrough executes HDL events up to and including t.
 func (e *Entity) runThrough(t sim.Time) error {
-	if e.phases != nil {
-		defer e.phaseHDL(time.Now())
+	if t < sim.Never {
+		t++
 	}
-	for e.HDL.NextTime() <= t {
-		if _, err := e.HDL.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.runBefore(t)
 }
 
 // phaseHDL attributes the elapsed wall time since start to the HDL phase.

@@ -173,6 +173,9 @@ type portModule struct {
 	outFifo    [][atm.CellBytes]byte
 	outCap     int
 	writer     *mapping.CellPortWriter
+
+	// The clocked processes, kept to put them to sleep and wake them.
+	ctl, collect, txfeed *hdl.Process
 }
 
 func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg SwitchConfig,
@@ -181,6 +184,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 	p := &portModule{sw: sw, idx: idx, inCap: cfg.InFifoCells, outCap: cfg.OutFifoCells}
 
 	p.req = h.Bit(name+"_req", hdl.U)
+	sw.gcu.proc.WakeOn(p.req)
 	p.reqDrv = p.req.Driver(name)
 	p.reqDrv.SetBit(hdl.L0)
 	p.hdr = h.Signal(name+"_hdr", 24, hdl.U)
@@ -208,6 +212,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 			return
 		}
 		p.inFifo = append(p.inFifo, c.Marshal())
+		p.ctl.Wake()
 	}
 	rd.OnError = func(img [atm.CellBytes]byte, err error) {
 		sw.HECErrors[idx]++
@@ -216,7 +221,7 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 
 	// Request/stream state machine.
 	gcu := sw.gcu
-	h.OnRising(clk, name+"_ctl", func() {
+	p.ctl = h.OnRising(clk, name+"_ctl", func() {
 		switch {
 		case p.streaming:
 			p.streamBeat()
@@ -243,16 +248,19 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 			}
 		default:
 			p.reqDrv.SetBit(hdl.L0)
+			p.ctl.Sleep()
 		}
 	})
 
 	// Output collection from the internal bus.
-	h.OnRising(clk, name+"_collect", func() {
+	p.collect = h.OnRising(clk, name+"_collect", func() {
 		if !busValid.Bit().IsHigh() {
+			p.collect.Sleep()
 			return
 		}
 		dest, ok := busDest.Uint()
 		if !ok || int(dest) != idx {
+			p.collect.Sleep()
 			return
 		}
 		word, ok := busData.Uint()
@@ -281,15 +289,24 @@ func newPortModule(h *hdl.Simulator, clk *hdl.Signal, sw *Switch, idx int, cfg S
 				drop.Hit()
 			} else {
 				p.outFifo = append(p.outFifo, p.collectBuf)
+				p.txfeed.Wake()
 				accept.Hit()
 			}
 		}
 	})
+	// A wake hook, not a Wake from the streaming port: a port earlier in
+	// registration order would wake this collector in place, in the same
+	// delta, where it still reads the old ibus_valid and misses the cell.
+	p.collect.WakeOn(busValid)
 
 	// Output serializer.
 	p.writer = mapping.NewCellPortWriter(h, name+"_tx", clk, sw.Out[idx].Data, sw.Out[idx].Sync)
-	h.OnRising(clk, name+"_txfeed", func() {
-		if len(p.outFifo) > 0 && !p.writer.Busy() && p.writer.Backlog() == 0 {
+	p.txfeed = h.OnRising(clk, name+"_txfeed", func() {
+		if len(p.outFifo) == 0 {
+			p.txfeed.Sleep()
+			return
+		}
+		if !p.writer.Busy() && p.writer.Backlog() == 0 {
 			img := p.outFifo[0]
 			p.outFifo = p.outFifo[1:]
 			cell, err := atm.Unmarshal(img)
@@ -362,21 +379,29 @@ type globalControlUnit struct {
 
 	// Grants counts successful arbitrations (diagnostic).
 	Grants uint64
+
+	proc *hdl.Process
 }
 
+// newGCU registers the arbiter. It sleeps while the bus is busy (busFree
+// wakes it) and after a scan that finds no request (a wake hook on every
+// port's req wakes it).
 func newGCU(h *hdl.Simulator, clk *hdl.Signal, sw *Switch) *globalControlUnit {
 	g := &globalControlUnit{sw: sw, granted: -1}
-	h.OnRising(clk, "gcu", func() {
+	g.proc = h.OnRising(clk, "gcu", func() {
 		if g.busy {
+			g.proc.Sleep()
 			return
 		}
 		g.granted = -1
+		requested := false
 		for n := 0; n < SwitchPorts; n++ {
 			i := (g.rrNext + n) % SwitchPorts
 			p := sw.ports[i]
 			if !p.req.Bit().IsHigh() {
 				continue
 			}
+			requested = true
 			hv, ok := p.hdr.Uint()
 			if !ok {
 				continue
@@ -399,13 +424,19 @@ func newGCU(h *hdl.Simulator, clk *hdl.Signal, sw *Switch) *globalControlUnit {
 			g.Grants++
 			break
 		}
+		if !requested {
+			g.proc.Sleep()
+		}
 	})
 	return g
 }
 
 // busFree is signalled by the streaming port when its last beat left the
 // bus.
-func (g *globalControlUnit) busFree() { g.busy = false }
+func (g *globalControlUnit) busFree() {
+	g.busy = false
+	g.proc.Wake()
+}
 
 // Drops returns the total number of cells lost in the switch for any
 // reason.

@@ -292,9 +292,6 @@ func (pl *Plan) runDirty(s *Simulator) {
 // Compiled reports whether the compiled fast path is active.
 func (s *Simulator) Compiled() bool { return s.fast }
 
-// CompiledPlan returns the active plan, or nil before Compile.
-func (s *Simulator) CompiledPlan() *Plan { return s.plan }
-
 // Compile levelizes the declared gates into an evaluation plan, forms the
 // purity regions, seeds every signal's packed mirror from its current
 // value, and switches the simulator onto the compiled data plane. It is

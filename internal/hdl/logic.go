@@ -163,9 +163,6 @@ func FromUint(val uint64, width int) LV {
 	return v
 }
 
-// FromByte returns an 8-bit vector for b.
-func FromByte(b byte) LV { return FromUint(uint64(b), 8) }
-
 // ParseLV parses a VHDL-style bit string, most significant bit first,
 // e.g. "10ZX".
 func ParseLV(s string) (LV, error) {

@@ -332,9 +332,6 @@ type Driver struct {
 	ringArmed bool
 }
 
-// Sig returns the driven signal.
-func (d *Driver) Sig() *Signal { return d.sig }
-
 func (d *Driver) checkWidth(v LV) {
 	if len(v) != d.sig.width {
 		panic(fmt.Sprintf("hdl: driver %s: assigning width %d to signal %q of width %d",

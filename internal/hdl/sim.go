@@ -14,22 +14,23 @@ import (
 // instead of hanging.
 const MaxDeltas = 10000
 
-// txn is a pending heap transaction: either a delayed driver update or a
-// plain timed callback (test-bench stimulus, clock edge). Transactions are
-// pooled; a txn recycles once both of its owners have released it — the
-// heap it was scheduled into and its driver's projected waveform (pending
-// list). Callback transactions are never in a pending list and are born
-// with that bit released. Zero-delay driver transactions in compiled mode
+// txn is a pending heap transaction: a delayed driver update, a plain
+// timed callback (test-bench stimulus) or a clock generator's toggle.
+// Transactions are pooled; a txn recycles once both of its owners have
+// released it — the heap it was scheduled into and its driver's projected
+// waveform (pending list). Callbacks and toggles are never in a pending
+// list and are born with that bit released. Zero-delay driver transactions in compiled mode
 // do not use this type at all — they ride the delta ring as rtxn values.
 type txn struct {
 	at     sim.Time
 	seq    uint64
 	drv    *Driver
 	val    LV
-	pword  uint64 // packed two-state value when packed is set
+	pword  uint64 // packed two-state value when packed is set; clock index when tick is set
 	fn     func()
 	dead   bool
 	packed bool
+	tick   bool // a toggle of clocks[pword]
 	rel    uint8
 	next   *txn // pool free list
 }
@@ -39,11 +40,22 @@ const (
 	relPending                     // dropped from its driver's pending list
 )
 
-// newTxn takes a transaction from the pool (or allocates one).
+// txnBlock is how many transactions the pool allocates at once when it
+// runs dry: elaboration schedules dozens, and one allocation per block
+// keeps a rig's set-up cheap.
+const txnBlock = 8
+
+// newTxn takes a transaction from the pool, refilling it a block at a
+// time.
 func (s *Simulator) newTxn() *txn {
 	t := s.free
 	if t == nil {
-		return &txn{}
+		blk := make([]txn, txnBlock)
+		for i := 1; i < txnBlock-1; i++ {
+			blk[i].next = &blk[i+1]
+		}
+		s.free = &blk[1]
+		return &blk[0]
 	}
 	s.free = t.next
 	t.next = nil
@@ -208,6 +220,7 @@ type Simulator struct {
 	runnable  []*Process
 	spare     []*Process // recycled runnable buffer
 	signals   []*Signal
+	clocks    []*clockGen
 
 	fast   bool // compiled data plane enabled (set by Compile)
 	plan   *Plan
@@ -219,6 +232,7 @@ type Simulator struct {
 	procRuns     uint64
 	timePoints   uint64
 	deltaCycles  uint64
+	skipped      uint64 // clock cycles fast-forwarded by RunBefore
 
 	// Observability handles, synchronized from the internal counters once
 	// per Step (diff-based) so the per-delta hot path stays untouched.
@@ -294,6 +308,11 @@ func (s *Simulator) TimePoints() uint64 { return s.timePoints }
 // DeltaCycles returns the total number of delta cycles executed.
 func (s *Simulator) DeltaCycles() uint64 { return s.deltaCycles }
 
+// SkippedCycles returns how many idle clock cycles RunBefore
+// fast-forwarded instead of executing. The other counters already include
+// their work, as if the cycles had run.
+func (s *Simulator) SkippedCycles() uint64 { return s.skipped }
+
 // Signal creates a signal of the given width, all bits initialized to
 // init ('U' at elaboration in VHDL).
 func (s *Simulator) Signal(name string, width int, init Logic) *Signal {
@@ -350,8 +369,8 @@ func (s *Simulator) newProcess(name string, fn func()) *Process {
 }
 
 // Schedule runs fn at the given delay from now, in the signal-update phase
-// of that instant's first delta. Test benches and clock generators use it;
-// device models should use processes.
+// of that instant's first delta. Test benches use it; device models
+// should use processes.
 func (s *Simulator) Schedule(delay sim.Duration, fn func()) {
 	if delay < 0 {
 		panic("hdl: negative delay")
@@ -367,25 +386,73 @@ func (s *Simulator) Schedule(delay sim.Duration, fn func()) {
 }
 
 // Clock drives sig as a free-running clock with the given period and an
-// initial low phase. The first rising edge occurs at period/2.
+// initial low phase. The first rising edge occurs at period/2. The clock
+// is kernel-owned: its toggles are transactions the kernel recognizes, so
+// RunBefore may fast-forward whole cycles in which nothing observes it
+// (fastForward). It stops at the end of time instead of overflowing it.
 func (s *Simulator) Clock(sig *Signal, period sim.Duration) {
 	if period <= 0 {
 		panic("hdl: clock period must be positive")
 	}
-	d := sig.Driver("clkgen:" + sig.name)
-	d.SetBit(L0)
-	var toggle func()
-	val := Logic(L0)
-	toggle = func() {
-		if val == L0 {
-			val = L1
-		} else {
-			val = L0
-		}
-		d.SetBit(val)
-		s.Schedule(period/2, toggle)
+	c := &clockGen{sig: sig, drv: sig.Driver("clkgen:" + sig.name), half: period / 2, val: L0, idx: uint64(len(s.clocks))}
+	s.clocks = append(s.clocks, c)
+	c.drv.SetBit(L0)
+	c.schedule()
+}
+
+// clockGen is a kernel-owned clock generator. Its pending toggle is a
+// heap transaction marked tick that carries the generator's index.
+type clockGen struct {
+	sig     *Signal
+	drv     *Driver
+	half    sim.Duration
+	val     Logic
+	toggled bool // at least one toggle applied: prev is the complement of val
+	idx     uint64
+}
+
+func (c *clockGen) toggle() {
+	if c.val == L0 {
+		c.val = L1
+	} else {
+		c.val = L0
 	}
-	s.Schedule(period/2, toggle)
+	c.drv.SetBit(c.val)
+	c.toggled = true
+	c.schedule()
+}
+
+// schedule pushes the next toggle half a period from now, unless that
+// would pass the end of time.
+func (c *clockGen) schedule() {
+	s := c.sig.sim
+	if c.half > sim.Never-s.now {
+		return
+	}
+	t := s.newTxn()
+	t.at = s.now + c.half
+	t.tick, t.pword = true, c.idx
+	t.rel = relPending // toggles are never in a pending list
+	s.push(t)
+}
+
+// quiet reports whether one of the clock's cycles can be skipped without
+// anybody observing it: the generator is the signal's only driver and has
+// toggled at least once, no compiled gate or OnChange callback (VCD,
+// probe) watches the signal, and every wake-list entry is a rising-edge
+// process that is asleep. An event of such a clock triggers processes
+// that are skipped, and changes nothing else.
+func (c *clockGen) quiet() bool {
+	g := c.sig
+	if !c.toggled || c.half <= 0 || len(g.drivers) != 1 || len(g.gwatch) != 0 || len(g.onChange) != 0 {
+		return false
+	}
+	for _, w := range g.watchers {
+		if w.kind != watchRising || !w.p.asleep {
+			return false
+		}
+	}
+	return true
 }
 
 // trigger marks a process runnable in the current (or first) delta.
@@ -546,6 +613,10 @@ func (s *Simulator) Step() (bool, error) {
 					fn := t.fn
 					s.releaseTxn(t, relContainer) // recycle before the call: fn may reuse it
 					fn()
+				} else if t.tick {
+					c := s.clocks[t.pword]
+					s.releaseTxn(t, relContainer)
+					c.toggle()
 				} else {
 					t.drv.apply(t)
 					s.releaseTxn(t, relContainer)
@@ -605,21 +676,101 @@ func (s *Simulator) Step() (bool, error) {
 	return true, nil
 }
 
-// Run executes until the agenda is exhausted or the simulated time would
-// exceed until. The clock ends at min(until, last activity).
-func (s *Simulator) Run(until sim.Time) error {
-	for {
-		next := s.NextTime()
-		if next == sim.Never || next > until {
-			if until != sim.Never && s.now < until {
-				s.now = until
-			}
-			return nil
+// RunBefore executes every instant strictly before t. It is the kernel's
+// one stepping loop: Run and the co-simulation entity's windows both go
+// through it. Between instants it fast-forwards idle clock cycles.
+func (s *Simulator) RunBefore(t sim.Time) error {
+	for s.NextTime() < t {
+		if s.fastForward(t) {
+			continue
 		}
 		if _, err := s.Step(); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// fastForward skips whole cycles of an idle clock: nothing is runnable,
+// the delta ring is empty, no gate is dirty, the head of the agenda is a
+// toggle of a quiet clock (clockGen.quiet), and the skipped toggles all
+// fall strictly before bound and before every other agenda entry. The
+// root's two heap children bound the other entries (dead ones count as
+// live, which is conservative). Nothing observes such a cycle, so the
+// counters advance by arithmetic to what executing it would give — per
+// cycle two time points, two delta cycles, two clock events (two-state in
+// the activity profile), two delta stamps, no process runs — and the
+// toggle transaction is re-pushed with the seq a real run would give it.
+// The clock's value, previous value, mirror and driver are left alone: an
+// even number of toggles leaves them where they were. It reports whether
+// any cycle was skipped. The caller has checked that an instant before
+// bound is pending, so the agenda is not empty when the rest is idle.
+func (s *Simulator) fastForward(bound sim.Time) bool {
+	if len(s.runnable) > 0 || s.ndirty > 0 || len(s.ring) > 0 {
+		return false
+	}
+	items := s.agenda.items
+	head := items[0]
+	if !head.tick {
+		return false
+	}
+	c := s.clocks[head.pword]
+	if !c.quiet() {
+		return false
+	}
+	limit := bound
+	for _, o := range items[1:min(3, len(items))] {
+		limit = min(limit, o.at)
+	}
+	if limit <= head.at {
+		return false
+	}
+	toggles := (limit-1-head.at)/c.half + 1 // toggles strictly before limit
+	cycles := toggles / 2
+	if cycles == 0 {
+		return false
+	}
+	n := uint64(2 * cycles)
+	s.now = head.at + (2*cycles-1)*c.half // the last skipped toggle
+	s.timePoints += n
+	s.deltaCycles += n
+	s.signalEvents += n
+	s.stamp += n
+	g := c.sig
+	g.eventStamp = s.stamp
+	if pr := s.prof; pr != nil {
+		pr.sigEvents[g.id] += n
+		pr.sigTwo[g.id] += n
+	}
+	s.skipped += uint64(cycles)
+	// Each toggle takes one seq for its drive and one for the next toggle.
+	s.agenda.pop()
+	s.nseq += 2*n - 1
+	if c.half > sim.Never-s.now {
+		s.releaseTxn(head, relContainer) // the clock stops at the end of time
+	} else {
+		head.at = s.now + c.half
+		s.push(head)
+	}
+	s.syncObs()
+	s.prof.publish()
+	return true
+}
+
+// Run executes until the agenda is exhausted or the simulated time would
+// exceed until. The clock ends at min(until, last activity).
+func (s *Simulator) Run(until sim.Time) error {
+	end := until
+	if end < sim.Never {
+		end++
+	}
+	if err := s.RunBefore(end); err != nil {
+		return err
+	}
+	if until != sim.Never && s.now < until {
+		s.now = until
+	}
+	return nil
 }
 
 // RunOne is Step for callers that treat errors as fatal (tests).
