@@ -3,10 +3,10 @@ GO ?= go
 # raises it to minutes (make fuzz FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet test race bench bench-all obs-bench campaign-smoke crash-resume-smoke explore-smoke rig-smoke kernel-diff-smoke fuzz
+.PHONY: verify build vet test race perfbench bench bench-all obs-bench campaign-smoke crash-resume-smoke explore-smoke rig-smoke kernel-diff-smoke fuzz
 
 # Tier-1 verification: everything CI runs.
-verify: build vet test race
+verify: build vet test race perfbench
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own module (perfbench/go.mod) and compiles
+# against the rig API, so ./... above never builds it: vet and test it
+# here, so a rig API change that breaks the benchmark fails verify.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The coupling layer is the concurrency hot spot: reader goroutines,
 # watchdog timers, and transport teardown all race by design. The

@@ -421,6 +421,38 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	t.Run("castanet-profile-phases", func(t *testing.T) {
+		// A rig experiment attributes wall time to phases; E6 runs no rig,
+		// so it says so instead of printing all-zero phase lines.
+		phase := regexp.MustCompile(`(?m)^phase (\w+) ns=\d+ windows=(\d+)$`)
+		out, err := exec.Command(filepath.Join(bin, "castanet"),
+			"-experiment", "e7", "-cells", "40", "-profile").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		windows := map[string]string{}
+		for _, m := range phase.FindAllStringSubmatch(string(out), -1) {
+			windows[m[1]] = m[2]
+		}
+		for _, ph := range []string{"hdl", "encode", "decode", "transport"} {
+			if w, ok := windows[ph]; !ok || w == "0" {
+				t.Errorf("e7 phase %s windows = %q, want non-zero:\n%s", ph, w, out)
+			}
+		}
+		if strings.Contains(string(out), "phase: not instrumented") {
+			t.Errorf("e7 claims no phase instrumentation:\n%s", out)
+		}
+
+		out, err = exec.Command(filepath.Join(bin, "castanet"),
+			"-experiment", "e6", "-cells", "200", "-profile").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "\nphase: not instrumented\n") || phase.MatchString(string(out)) {
+			t.Errorf("e6 should print only \"phase: not instrumented\":\n%s", out)
+		}
+	})
+
 	t.Run("castanet-campaign-replay", func(t *testing.T) {
 		out, err := exec.Command(filepath.Join(bin, "castanet"),
 			"-campaign", "switch", "-runs", "8", "-seed", "1", "-replay", "3").CombinedOutput()

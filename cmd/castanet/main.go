@@ -286,7 +286,7 @@ func run() int {
 			activity := run.Prof().Activity()
 			phases := run.Prof().PhaseProf().Snapshot()
 			obs.WriteActivityText(os.Stdout, activity, 10)
-			obs.WritePhaseText(os.Stdout, phases)
+			writePhases(phases)
 			if *profileOut != "" {
 				if err := writeProfileFile(*profileOut, activity, phases); err != nil {
 					fmt.Fprintf(os.Stderr, "castanet: %v\n", err)
@@ -311,6 +311,20 @@ func writeProfileFile(path string, activity obs.ActivitySnap, phases []obs.Phase
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// writePhases prints the wall-clock phase breakdown, or "phase: not
+// instrumented" when no phase recorded a window — the run executed
+// nothing that attributes phases (E6 elaborates no rig), so all-zero
+// lines would read as a measured zero.
+func writePhases(phases []obs.PhaseSnap) {
+	for _, ph := range phases {
+		if ph.Windows > 0 {
+			obs.WritePhaseText(os.Stdout, phases)
+			return
+		}
+	}
+	fmt.Println("phase: not instrumented")
 }
 
 // badFlags reports a campaign flag error the way unknown -experiment is
@@ -483,7 +497,7 @@ func runCampaign(o campaignOpts) int {
 		// campaign's accumulated wall time and stays out of the digest.
 		phases := obsRun.Prof().PhaseProf().Snapshot()
 		obs.WriteActivityText(os.Stdout, sum.Activity, 10)
-		obs.WritePhaseText(os.Stdout, phases)
+		writePhases(phases)
 		if o.profileOut != "" {
 			if err := writeProfileFile(o.profileOut, sum.Activity, phases); err != nil {
 				fmt.Fprintf(os.Stderr, "castanet: %v\n", err)

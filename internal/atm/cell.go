@@ -34,12 +34,10 @@ func CellTime(bitsPerSecond float64) sim.Duration {
 const (
 	PTIUserData0    = 0 // user data, no congestion, SDU type 0
 	PTIUserData1    = 1 // user data, no congestion, SDU type 1
-	PTICongestion0  = 2
 	PTICongestion1  = 3
 	PTISegmentOAM   = 4
 	PTIEndToEndOAM  = 5
 	PTIResourceMgmt = 6
-	PTIReserved     = 7
 )
 
 // Header is a UNI cell header: GFC(4) VPI(8) VCI(16) PTI(3) CLP(1), plus

@@ -21,7 +21,6 @@ import (
 const (
 	ByteLanes   = 16
 	PinsPerLane = 8
-	TotalPins   = ByteLanes * PinsPerLane // 128 I/O pins
 	// MaxClockHz is the maximum board clock of the current implementation.
 	MaxClockHz = 20e6
 	// MinCycleLen and MaxCycleLen bound one hardware test cycle, set by

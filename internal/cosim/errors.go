@@ -18,7 +18,7 @@ type ErrorClass int
 const (
 	// ClassTimeout: the peer did not answer within the configured
 	// interval — watchdog expiry, retransmit exhaustion, heartbeat loss.
-	// Transient: a Reconnector may recover it.
+	// Transient: a fresh session may succeed.
 	ClassTimeout ErrorClass = iota
 	// ClassClosed: the link was torn down (locally or by the peer).
 	// Transient in the same sense.

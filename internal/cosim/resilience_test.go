@@ -107,90 +107,6 @@ func TestRemoteEntityErrorTyped(t *testing.T) {
 	}
 }
 
-// scriptedServer speaks the alternating protocol over tr: each request is
-// acknowledged with a sync, and every received message is recorded.
-func scriptedServer(tr ipc.Transport, log *[]ipc.Message) {
-	for {
-		m, err := tr.Recv()
-		if err != nil {
-			return
-		}
-		*log = append(*log, m)
-		if tr.Send(ipc.Message{Kind: ipc.KindSync, Time: m.Time}) != nil {
-			return
-		}
-	}
-}
-
-func TestReconnectorReplaysSession(t *testing.T) {
-	var (
-		dials    int
-		sessions [][]ipc.Message
-		serverTr []ipc.Transport
-	)
-	rc := &Reconnector{
-		Backoff: time.Millisecond,
-		Dial: func() (ipc.Transport, error) {
-			a, b := ipc.Pipe(16)
-			dials++
-			sessions = append(sessions, nil)
-			serverTr = append(serverTr, b)
-			log := &sessions[len(sessions)-1]
-			go scriptedServer(b, log)
-			return a, nil
-		},
-	}
-	defer rc.Close()
-
-	if _, err := rc.Send(ipc.Message{Kind: ipc.KindInit, Time: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.Send(ipc.Message{Kind: KindData, Time: 1, Data: []byte("one")}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The link dies mid-run; the next operation must transparently re-dial
-	// and replay the recorded init before retrying.
-	serverTr[0].Close()
-	if _, err := rc.Send(ipc.Message{Kind: KindData, Time: 2, Data: []byte("two")}); err != nil {
-		t.Fatalf("send after link loss: %v", err)
-	}
-
-	if dials != 2 {
-		t.Fatalf("dials = %d, want 2", dials)
-	}
-	if rc.Reconnects != 1 {
-		t.Errorf("Reconnects = %d, want 1", rc.Reconnects)
-	}
-	second := sessions[1]
-	if len(second) != 2 || second[0].Kind != ipc.KindInit || string(second[1].Data) != "two" {
-		t.Fatalf("second session saw %v, want replayed init then retried message", second)
-	}
-}
-
-func TestReconnectorGivesUp(t *testing.T) {
-	dials := 0
-	rc := &Reconnector{
-		Backoff:     time.Millisecond,
-		MaxAttempts: 2,
-		Dial: func() (ipc.Transport, error) {
-			dials++
-			a, b := ipc.Pipe(1)
-			b.Close() // every session is stillborn
-			_ = a
-			return a, nil
-		},
-	}
-	_, err := rc.Send(ipc.Message{Kind: KindData})
-	var ce *CouplingError
-	if !errors.As(err, &ce) || ce.Class != ClassClosed {
-		t.Fatalf("err = %v, want closed-classed CouplingError after giving up", err)
-	}
-	if dials != 3 { // initial connect + MaxAttempts reconnects
-		t.Errorf("dials = %d, want 3", dials)
-	}
-}
-
 // failCoupling rejects every message with the given error.
 type failCoupling struct{ err error }
 

@@ -11,6 +11,7 @@ import (
 	"castanet/internal/mapping"
 	"castanet/internal/netsim"
 	"castanet/internal/obs"
+	"castanet/internal/refmodel"
 	"castanet/internal/sim"
 	"castanet/internal/traffic"
 )
@@ -41,13 +42,11 @@ type AcctRigConfig struct {
 	// NoCompiled opts out of the compiled bit-parallel data plane (see
 	// SwitchRigConfig.NoCompiled).
 	NoCompiled bool
-	// Metrics and Trace mirror SwitchRigConfig's observability hooks.
-	Metrics *obs.Registry
-	Trace   *obs.Tracer
-	// Cover, when non-nil, receives the run's functional coverage: the
-	// metering event bins under "coverify.acct" (folded once from the
-	// hardware's end-of-run counters) plus the shared cosim.sync group.
-	Cover *obs.CoverRegistry
+	// Obs, when non-nil, receives the run's metrics, trace events, cell
+	// journeys, profile and functional coverage (the metering event bins
+	// under "coverify.acct", folded once from the hardware's end-of-run
+	// counters, plus the shared cosim groups).
+	Obs *obs.Run
 }
 
 // AcctSource is one traffic stream of the case study.
@@ -61,19 +60,16 @@ type AcctSource struct {
 // AcctRig is the accounting-unit co-verification environment: the same
 // cell stream is metered by the algorithmic reference (atm.Accounting)
 // and, through the coupling, by the RTL accounting unit; at end of run
-// the per-connection counters and charging units are compared.
+// the per-connection counters and charging units are compared. Net, HDL,
+// Entity, Iface and Offered come from the shared test bench (see
+// harness); Cmp is nil, the comparison is Compare.
 type AcctRig struct {
 	Cfg AcctRigConfig
+	harness
 
-	Net    *netsim.Network
-	HDL    *hdl.Simulator
-	DUT    *dut.AccountingUnit
-	Ref    *atm.Accounting
-	Entity *cosim.Entity
-	Iface  *cosim.InterfaceProcess
+	DUT *dut.AccountingUnit
+	Ref *atm.Accounting
 
-	writer  *mapping.CellPortWriter
-	Offered uint64
 	// Exceptions counts hardware exception strobes observed.
 	Exceptions uint64
 
@@ -82,27 +78,22 @@ type AcctRig struct {
 
 // NewAcctRig elaborates the environment.
 func NewAcctRig(cfg AcctRigConfig) *AcctRig {
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 50 * sim.Nanosecond
-	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 64 * cfg.ClockPeriod
-	}
-	if cfg.SyncEvery == 0 {
-		cfg.SyncEvery = 50 * sim.Microsecond
-	}
+	timingDefaults(&cfg.ClockPeriod, &cfg.Delta, &cfg.SyncEvery, 64)
 	if cfg.Tariff.CellsPerUnit == 0 {
 		cfg.Tariff = atm.Tariff{CellsPerUnit: 100}
 	}
 	r := &AcctRig{Cfg: cfg}
-	r.coverEvent = cfg.Cover.Group("coverify.acct").Point("event",
+	r.harness = harness{seed: cfg.Seed, period: cfg.ClockPeriod, delta: cfg.Delta,
+		syncEvery: cfg.SyncEvery, batch: cfg.Batch, drain: 100 * 53 * cfg.ClockPeriod, drainLag: true}
+	h := &r.harness
+	if cfg.Obs != nil {
+		h.obs = *cfg.Obs
+	}
+	r.coverEvent = h.obs.Cover.Group("coverify.acct").Point("event",
 		"metered", "clp1", "unregistered", "exception")
 
-	r.HDL = hdl.New()
-	r.HDL.Instrument(cfg.Metrics, "hdl.sim")
-	clk := r.HDL.Bit("clk", hdl.U)
-	r.HDL.Clock(clk, cfg.ClockPeriod)
-	r.DUT = dut.NewAccountingUnit(r.HDL, clk, 256)
+	h.newHDL()
+	r.DUT = dut.NewAccountingUnit(h.HDL, h.clk, 256)
 	r.DUT.Exception.OnChange(func(now sim.Time, old, new hdl.LV) {
 		if new[0].IsHigh() {
 			r.Exceptions++
@@ -116,121 +107,48 @@ func NewAcctRig(cfg AcctRigConfig) *AcctRig {
 		}
 	}
 
-	r.Entity = cosim.NewEntity(r.HDL)
-	r.Entity.Instrument(cfg.Metrics, cfg.Trace)
-	r.Entity.InstrumentCover(cfg.Cover)
-	r.writer = mapping.NewCellPortWriter(r.HDL, "castanet_tx", clk, r.DUT.In.Data, r.DUT.In.Sync)
-	r.Entity.Input(cosim.KindData, cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
-		v, err := (mapping.CellCodec{}).Decode(msg.Data)
-		if err != nil {
-			return err
-		}
-		r.writer.Enqueue(v.(*atm.Cell))
-		return nil
-	})
-	r.Entity.Input(KindRawCell, cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
+	h.newEntity()
+	writer := h.cellPort("", cosim.KindData, 0, r.DUT.In, nil)
+	h.Entity.Input(KindRawCell, cfg.Delta, func(e *cosim.Entity, msg ipc.Message) error {
 		if len(msg.Data) != atm.CellBytes {
 			return fmt.Errorf("coverify: raw vector of %d bytes", len(msg.Data))
 		}
 		var img [atm.CellBytes]byte
 		copy(img[:], msg.Data)
-		r.writer.EnqueueRaw(img)
+		writer.EnqueueRaw(img)
 		return nil
 	})
+	h.codec(KindRawCell, mapping.BytesCodec{})
 
-	registry := mapping.NewRegistry()
-	registry.Register(cosim.KindData, mapping.CellCodec{})
-	registry.Register(KindRawCell, mapping.BytesCodec{})
-	r.Iface = &cosim.InterfaceProcess{
-		Coupling:  &cosim.Direct{Entity: r.Entity},
-		Registry:  registry,
-		SyncEvery: cfg.SyncEvery,
-		Batch:     cfg.Batch,
-		Classify: func(pkt *netsim.Packet, port int) ipc.Kind {
-			if _, raw := pkt.Data.([]byte); raw {
-				return KindRawCell
-			}
-			return cosim.KindData
-		},
-	}
-	r.Iface.Instrument(cfg.Metrics, cfg.Trace)
-	r.Iface.InstrumentCover(cfg.Cover)
-
-	r.Net = netsim.New(cfg.Seed)
-	r.Net.Sched.Instrument(cfg.Metrics, "net.sched")
-	ifaceNode := r.Net.Node("castanet", r.Iface)
-	refNode := r.Net.Node("refacct", &acctRefProc{rig: r})
+	h.network(h.direct(), func(pkt *netsim.Packet, port int) ipc.Kind {
+		if _, raw := pkt.Data.([]byte); raw {
+			return KindRawCell
+		}
+		return cosim.KindData
+	}, 0)
+	h.interfaceNode()
+	refNode := h.Net.Node("refacct", &refmodel.AccountingRef{Acct: r.Ref})
 	for i, s := range cfg.Sources {
 		s := s
-		src := &netsim.Source{
-			Gen:   s.Model,
-			Limit: s.Cells,
-			Make: func(ctx *netsim.Ctx, k uint64) *netsim.Packet {
-				var vc atm.VC
-				if s.VC >= 0 {
-					vc = cfg.VCs[s.VC]
-				} else {
-					vc = atm.VC{VPI: 0xEE, VCI: 0xEEE} // deliberately unregistered
-				}
-				c := &atm.Cell{Header: atm.Header{VPI: vc.VPI, VCI: vc.VCI}}
-				if s.CLP1 > 0 && ctx.RNG().Bool(s.CLP1) {
-					c.CLP = 1
-				}
-				c.Seq = uint32(r.Offered)
-				r.Offered++
-				c.StampSeq()
-				return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
-			},
-		}
-		srcNode := r.Net.Node(fmt.Sprintf("src%d", i), src)
-		split := r.Net.Node(fmt.Sprintf("split%d", i), &netsim.Func{
-			OnArrival: func(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-				cell := pkt.Data.(*atm.Cell)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 0)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 1)
-			},
-		})
-		r.Net.Connect(srcNode, 0, split, 0, netsim.LinkParams{})
-		r.Net.Connect(split, 0, refNode, 0, netsim.LinkParams{})
-		r.Net.Connect(split, 1, ifaceNode, 0, netsim.LinkParams{})
+		h.source(i, s.Model, s.Cells, fillFunc(func(ctx *netsim.Ctx, k uint64, c *atm.Cell) {
+			c.VPI, c.VCI = 0xEE, 0xEEE // deliberately unregistered
+			if s.VC >= 0 {
+				c.VPI, c.VCI = cfg.VCs[s.VC].VPI, cfg.VCs[s.VC].VCI
+			}
+			if s.CLP1 > 0 && ctx.RNG().Bool(s.CLP1) {
+				c.CLP = 1
+			}
+		}), refNode, 0, 0)
 	}
-	if !cfg.NoCompiled {
-		r.HDL.MustCompile()
-	}
+	compileUnless(h.HDL, cfg.NoCompiled)
 	return r
 }
-
-// acctRefProc feeds the reference accounting algorithm. Raw byte images
-// (conformance vectors) are parsed first; images that fail the HEC are
-// invisible to the meter, exactly as they are at the bit level.
-type acctRefProc struct{ rig *AcctRig }
-
-func (a *acctRefProc) Init(ctx *netsim.Ctx) {}
-func (a *acctRefProc) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-	switch data := pkt.Data.(type) {
-	case *atm.Cell:
-		a.rig.Ref.Observe(data, ctx.Now())
-	case []byte:
-		var img [atm.CellBytes]byte
-		copy(img[:], data)
-		if cell, err := atm.Unmarshal(img); err == nil {
-			a.rig.Ref.Observe(cell, ctx.Now())
-		}
-	default:
-		panic(fmt.Sprintf("coverify: accounting reference got %T", pkt.Data))
-	}
-}
-func (a *acctRefProc) Timer(ctx *netsim.Ctx, tag interface{}) {}
 
 // InjectVector schedules a raw conformance vector image into both the
 // hardware path and the reference model at the given simulation time
 // (both sides of the comparison must see the same stimulus). Call before
 // Run.
 func (r *AcctRig) InjectVector(at sim.Time, img [atm.CellBytes]byte) {
-	iface, ok := r.Net.Lookup("castanet")
-	if !ok {
-		panic("coverify: interface node missing")
-	}
 	ref, ok := r.Net.Lookup("refacct")
 	if !ok {
 		panic("coverify: reference node missing")
@@ -238,21 +156,17 @@ func (r *AcctRig) InjectVector(at sim.Time, img [atm.CellBytes]byte) {
 	raw := make([]byte, atm.CellBytes)
 	copy(raw, img[:])
 	r.Net.Sched.At(at, func() {
-		iface.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
+		r.ifaceNode.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
 		ref.Inject(r.Net.NewPacket("vector", raw, atm.CellBytes*8), 0)
 	})
 }
 
 // Run executes the case study and drains the hardware.
 func (r *AcctRig) Run(until sim.Time) error {
-	tr := r.Cfg.Trace
-	tr.Begin(obs.TrackRig, "run", int64(r.Net.Sched.Now()))
-	r.Net.Run(until)
-	tr.End(obs.TrackRig, "run", int64(r.Net.Sched.Now()))
-	if err := r.Entity.Deliver(ipc.Message{Kind: ipc.KindSync, Time: until + 100*53*r.Cfg.ClockPeriod}); err != nil {
+	if err := r.run(until); err != nil {
 		return err
 	}
-	if reg := r.Cfg.Metrics; reg != nil {
+	if reg := r.obs.Registry; reg != nil {
 		reg.Gauge("coverify.offered").Set(float64(r.Offered))
 		reg.Gauge("coverify.exceptions").Set(float64(r.Exceptions))
 	}

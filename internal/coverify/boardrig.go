@@ -5,7 +5,6 @@ import (
 
 	"castanet/internal/atm"
 	"castanet/internal/board"
-	"castanet/internal/cosim"
 	"castanet/internal/cyclesim"
 	"castanet/internal/dut"
 	"castanet/internal/ipc"
@@ -22,42 +21,38 @@ import (
 // through the board coupling instead of the HDL simulator, and the same
 // comparator checks the outputs against the reference model. Test benches
 // are thereby reused unchanged from simulation to functional chip
-// verification, the paper's central claim.
+// verification, the paper's central claim. Net, Iface, Cmp and Offered
+// come from the shared test bench (see harness); HDL and Entity are nil.
 type BoardRig struct {
 	Cfg SwitchRigConfig
+	harness
 
-	Net     *netsim.Network
 	Dev     *cyclesim.Switch
 	Board   *board.Board
 	Harness *board.StreamHarness
 	Ref     *refmodel.SwitchRef
-	Iface   *cosim.InterfaceProcess
-	Cmp     *refmodel.Comparator
-
-	nextSeq  uint32
-	Offered  uint64
-	coverCmp *obs.CoverPoint
 }
 
 // NewBoardRig elaborates the hardware-in-the-loop environment. The board
 // runs at the configured HDL clock rate (capped at the board's 20 MHz)
 // with the given memory depth per test cycle.
 func NewBoardRig(cfg SwitchRigConfig, memDepth int) (*BoardRig, error) {
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 50 * sim.Nanosecond
-	}
+	timingDefaults(&cfg.ClockPeriod, nil, &cfg.SyncEvery, 0)
 	if cfg.Table == nil {
 		cfg.Table = DefaultTable()
 	}
 	if cfg.Switch == (dut.SwitchConfig{}) {
 		cfg.Switch = dut.DefaultSwitchConfig()
 	}
-	if cfg.SyncEvery == 0 {
-		cfg.SyncEvery = 50 * sim.Microsecond
-	}
 	r := &BoardRig{Cfg: cfg}
-	hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1 := coverHeaderPoints(cfg.Cover)
-	r.coverCmp = coverCmpPoint(cfg.Cover)
+	r.harness = harness{
+		obs: obs.Run{Registry: cfg.Metrics, Tracer: cfg.Trace, Cells: cfg.Cells,
+			Cover: cfg.Cover, Profile: cfg.Profile},
+		rec: cfg.Recorder, seed: cfg.Seed, syncEvery: cfg.SyncEvery, batch: cfg.Batch,
+		tamper: cfg.TamperResponse,
+	}
+	h := &r.harness
+	h.coverCells()
 
 	r.Dev = cyclesim.NewSwitch(cfg.Table, cfg.Switch.InFifoCells, cfg.Switch.OutFifoCells)
 	clockHz := 1 / (sim.Duration(cfg.ClockPeriod)).Seconds()
@@ -68,13 +63,13 @@ func NewBoardRig(cfg SwitchRigConfig, memDepth int) (*BoardRig, error) {
 	if err := r.Board.Configure(board.SwitchConfig()); err != nil {
 		return nil, err
 	}
-	h, err := board.NewStreamHarness(r.Board, board.SwitchStreams())
+	sh, err := board.NewStreamHarness(r.Board, board.SwitchStreams())
 	if err != nil {
 		return nil, err
 	}
-	r.Harness = h
+	r.Harness = sh
 	coupling := &board.Coupling{
-		Harness: h,
+		Harness: sh,
 		KindOf: func(k ipc.Kind) int {
 			s := int(k - KindCellIn(0))
 			if s < 0 || s >= dut.SwitchPorts {
@@ -87,69 +82,23 @@ func NewBoardRig(cfg SwitchRigConfig, memDepth int) (*BoardRig, error) {
 		// behind the last stimulus byte.
 		DrainCycles: (cfg.Switch.OutFifoCells + 8) * 53,
 	}
-
-	r.Net = netsim.New(cfg.Seed)
-	r.Net.Sched.Instrument(cfg.Metrics, "net.sched")
-	r.Cmp = refmodel.NewComparator()
-	r.Ref = &refmodel.SwitchRef{Table: cfg.Table}
-	r.Ref.OnForward = func(ctx *netsim.Ctx, outPort int, c *atm.Cell) {
-		r.Cmp.Expect(outPort, c)
-	}
-	registry := mapping.NewRegistry()
 	for p := 0; p < dut.SwitchPorts; p++ {
-		registry.Register(KindCellIn(p), mapping.CellCodec{})
-		registry.Register(KindCellOut(p), mapping.CellCodec{})
+		h.codec(KindCellIn(p), mapping.CellCodec{})
+		h.codec(KindCellOut(p), mapping.CellCodec{})
 	}
-	r.Iface = &cosim.InterfaceProcess{
-		Coupling:  coupling,
-		Registry:  registry,
-		SyncEvery: cfg.SyncEvery,
-		Batch:     cfg.Batch, // inert: the board coupling is not batch-capable
-		Classify:  func(pkt *netsim.Packet, port int) ipc.Kind { return KindCellIn(port) },
-		OnResponse: func(ctx *netsim.Ctx, resp cosim.Response) {
-			port := int(resp.Kind - KindCellOut(0))
-			r.Cmp.Actual(port, resp.Value.(*atm.Cell))
-		},
-	}
-	r.Iface.Instrument(cfg.Metrics, cfg.Trace)
 
-	refNode := r.Net.Node("refswitch", r.Ref)
-	ifaceNode := r.Net.Node("castanet", r.Iface)
+	// The board coupling is not batch-capable, so Batch is inert here.
+	h.network(coupling, func(pkt *netsim.Packet, port int) ipc.Kind { return KindCellIn(port) }, kindCellOut)
+	h.Cmp = refmodel.NewComparator()
+	r.Ref = &refmodel.SwitchRef{Table: cfg.Table, OnForward: func(ctx *netsim.Ctx, outPort int, c *atm.Cell) {
+		h.Cmp.Expect(outPort, c)
+	}}
+	refNode := h.Net.Node("refswitch", r.Ref)
+	h.interfaceNode()
 	for p := 0; p < dut.SwitchPorts; p++ {
-		tr := cfg.Traffic[p]
-		if tr.Model == nil || tr.Cells == 0 {
-			continue
+		if tr := &r.Cfg.Traffic[p]; tr.Model != nil && tr.Cells != 0 {
+			h.source(p, tr.Model, tr.Cells, tr, refNode, p, p)
 		}
-		trc := tr
-		src := &netsim.Source{
-			Gen:   trc.Model,
-			Limit: trc.Cells,
-			Make: func(ctx *netsim.Ctx, i uint64) *netsim.Packet {
-				vc := trc.VCs[int(i)%len(trc.VCs)]
-				c := &atm.Cell{Header: atm.Header{VPI: vc.VPI, VCI: vc.VCI}}
-				if trc.CLP1 > 0 && ctx.RNG().Bool(trc.CLP1) {
-					c.CLP = 1
-				}
-				c.Seq = r.nextSeq
-				r.nextSeq++
-				r.Offered++
-				c.StampSeq()
-				coverHeaderHit(hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1, c.Header)
-				return ctx.Net().NewPacket("cell", c, atm.CellBytes*8)
-			},
-		}
-		srcNode := r.Net.Node(fmt.Sprintf("src%d", p), src)
-		p := p
-		split := r.Net.Node(fmt.Sprintf("split%d", p), &netsim.Func{
-			OnArrival: func(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-				cell := pkt.Data.(*atm.Cell)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 0)
-				ctx.Send(ctx.Net().NewPacket("cell", cell.Clone(), pkt.Size), 1)
-			},
-		})
-		r.Net.Connect(srcNode, 0, split, 0, netsim.LinkParams{})
-		r.Net.Connect(split, 0, refNode, p, netsim.LinkParams{})
-		r.Net.Connect(split, 1, ifaceNode, p, netsim.LinkParams{})
 	}
 	return r, nil
 }
@@ -157,28 +106,9 @@ func NewBoardRig(cfg SwitchRigConfig, memDepth int) (*BoardRig, error) {
 // Run executes the verification, then flushes remaining hardware output
 // through one final sync-triggered test cycle batch.
 func (r *BoardRig) Run(until sim.Time) error {
-	tr := r.Cfg.Trace
-	tr.Begin(obs.TrackBoard, "run", int64(r.Net.Sched.Now()))
-	r.Net.Run(until)
-	tr.End(obs.TrackBoard, "run", int64(r.Net.Sched.Now()))
-	coupling := r.Iface.Coupling
-	resps, err := coupling.Send(ipc.Message{Kind: ipc.KindSync, Time: until})
-	if err != nil {
+	if err := r.run(until); err != nil {
 		return err
 	}
-	for _, m := range resps {
-		var img [atm.CellBytes]byte
-		copy(img[:], m.Data)
-		cell, err := atm.Unmarshal(img)
-		if err != nil {
-			return err
-		}
-		r.Cmp.Actual(int(m.Kind-KindCellOut(0)), cell)
-	}
-	// The board comparator is driven directly (no per-cell compare hook),
-	// so its verdict coverage folds in once from the end-of-run totals.
-	r.coverCmp.Add("match", r.Cmp.Matched)
-	r.coverCmp.Add("mismatch", uint64(len(r.Cmp.Mismatches())))
 	r.publishObs()
 	return nil
 }
@@ -187,7 +117,7 @@ func (r *BoardRig) Run(until sim.Time) error {
 // test-cycle count and the split between hardware activity and SCSI
 // software activity that govern the real-time fraction of §3.3.
 func (r *BoardRig) publishObs() {
-	reg := r.Cfg.Metrics
+	reg := r.obs.Registry
 	if reg == nil {
 		return
 	}

@@ -31,9 +31,7 @@ type RTLRig struct {
 // co-simulation rig into static RTL stimulus vectors (the "regression
 // test bench"), sampling each traffic model with the rig seed.
 func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 50 * sim.Nanosecond
-	}
+	timingDefaults(&cfg.ClockPeriod, nil, nil, 0)
 	if cfg.Table == nil {
 		cfg.Table = DefaultTable()
 	}
@@ -41,12 +39,13 @@ func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
 		cfg.Switch = dut.DefaultSwitchConfig()
 	}
 	r := &RTLRig{Cfg: cfg}
-	r.HDL = hdl.New()
-	clk := r.HDL.Bit("clk", hdl.U)
-	r.HDL.Clock(clk, cfg.ClockPeriod)
+	// The regression bench is the uninstrumented baseline: no metrics,
+	// no profile.
+	var clk *hdl.Signal
+	r.HDL, clk = newClockedHDL(cfg.ClockPeriod, nil, nil)
 	r.DUT = dut.NewSwitch(r.HDL, clk, cfg.Table, cfg.Switch)
 	r.DUT.InstrumentCover(cfg.Cover)
-	hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1 := coverHeaderPoints(cfg.Cover)
+	hdr := newHeaderCover(cfg.Cover)
 
 	rng := sim.NewRNG(cfg.Seed)
 	var seq uint32
@@ -83,7 +82,7 @@ func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
 			c.Seq = seq
 			seq++
 			r.Offered++
-			coverHeaderHit(hdrVPI, hdrVCI, hdrPTI, hdrCLP0, hdrCLP1, c.Header)
+			hdr.hit(c.Header)
 			for b := 4; b < len(c.Payload); b++ {
 				c.Payload[b] = byte(uint32(b) * (c.Seq + 1))
 			}
@@ -96,9 +95,7 @@ func NewRTLRig(cfg SwitchRigConfig) *RTLRig {
 		r.Gens[p] = rtltb.NewGenerator(r.HDL, fmt.Sprintf("gen%d", p), clk,
 			r.DUT.In[p].Data, r.DUT.In[p].Sync, vectors)
 	}
-	if !cfg.NoCompiled {
-		r.HDL.MustCompile()
-	}
+	compileUnless(r.HDL, cfg.NoCompiled)
 	return r
 }
 

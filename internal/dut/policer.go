@@ -48,10 +48,6 @@ type Policer struct {
 	slots map[atm.VC]*policerSlot
 	cap   int
 
-	// OnPolice observes every policed arrival with the hardware cycle
-	// count (diagnostic).
-	OnPolice func(c *atm.Cell, cycle uint64)
-
 	// Counters (diagnostic registers).
 	Conforming    uint64
 	NonConforming uint64
@@ -134,9 +130,6 @@ func (p *Policer) ContractFor(vc atm.VC, peakInterval, tau, clockPeriod sim.Dura
 func (p *Policer) police(c *atm.Cell) {
 	if c.IsIdle() || c.IsUnassigned() {
 		return
-	}
-	if p.OnPolice != nil {
-		p.OnPolice(c, p.cycle)
 	}
 	slot, ok := p.slots[c.VC()]
 	if !ok {

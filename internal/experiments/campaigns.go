@@ -264,7 +264,7 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 		rig := coverify.NewPolicerRig(coverify.PolicerRigConfig{
 			Seed:  rng.Uint64(),
 			Batch: ccfg.Batch,
-			Cover: r.Cover(),
+			Obs:   &obs.Run{Cover: r.Cover(), Profile: r.Profile()},
 			Contracts: []coverify.PolicerContract{
 				{VC: vc, PeakInterval: sim.FromSeconds(1 / contractRate), Tau: 2 * sim.Microsecond},
 			},
@@ -279,8 +279,8 @@ func policerCells(ccfg CampaignConfig) []campaign.Cell {
 		r.Observe("load_ratio", ratio)
 		r.Observe("cells", float64(rig.Offered))
 		if !rig.Cmp.Clean() {
-			return fmt.Errorf("policer decisions diverged at load %.3f: %d bad, %d outstanding",
-				ratio, len(rig.Cmp.Bad), rig.Cmp.Outstanding())
+			return fmt.Errorf("policer decisions diverged at load %.3f: %d mismatches, %d outstanding",
+				ratio, len(rig.Cmp.Mismatches()), len(rig.Cmp.Outstanding()))
 		}
 		return nil
 	}}}
@@ -296,7 +296,7 @@ func acctCells(ccfg CampaignConfig) []campaign.Cell {
 		cfg := coverify.AcctRigConfig{
 			Seed:   rng.Uint64(),
 			Batch:  ccfg.Batch,
-			Cover:  r.Cover(),
+			Obs:    &obs.Run{Cover: r.Cover(), Profile: r.Profile()},
 			VCs:    vcs,
 			Tariff: atm.Tariff{CellsPerUnit: 10},
 			Sources: []coverify.AcctSource{

@@ -51,8 +51,7 @@ func (f Factory) E7(cellsPerPoint uint64, seed uint64) E7Result {
 			Sources: []coverify.PolicerSource{
 				{Model: traffic.NewPoisson(contractRate * ratio), VC: vc, Cells: cellsPerPoint},
 			},
-			Metrics:    f.Obs.Reg(),
-			Trace:      f.Obs.Trace(),
+			Obs:        f.Obs,
 			Batch:      f.Batch,
 			NoCompiled: f.NoCompiled,
 		})

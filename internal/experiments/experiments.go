@@ -443,8 +443,7 @@ func (f Factory) E5(seed uint64) E5Result {
 			{Model: traffic.NewPoisson(10e3), VC: -1, Cells: 50},
 		},
 	}
-	cfg.Metrics = f.Obs.Reg()
-	cfg.Trace = f.Obs.Trace()
+	cfg.Obs = f.Obs
 	cfg.Batch = f.Batch
 	cfg.NoCompiled = f.NoCompiled
 	rig := coverify.NewAcctRig(cfg)

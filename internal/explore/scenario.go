@@ -77,8 +77,6 @@ const (
 	kindCount
 )
 
-var kindNames = [kindCount]string{"silent", "cbr", "poisson", "onoff", "mmpp2", "pareto", "mpeg"}
-
 // rateTable is the nominal mean cell rate menu (cells/s). The top entries
 // exceed what a single output port can sink (~377k cells/s line rate)
 // once two VC-focused ports pile onto it — the congestion regime the

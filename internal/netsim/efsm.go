@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"castanet/internal/sim"
-)
+import "fmt"
 
 // This file implements the process domain: behaviour expressed as
 // communicating extended finite state machines, OPNET's process model.
@@ -208,12 +204,3 @@ func (m *EFSM) IntVar(name string) int {
 
 // SetIntVar writes an integer extended state variable.
 func (m *EFSM) SetIntVar(name string, v int) { m.Vars[name] = v }
-
-// TimeVar reads a sim.Time extended state variable.
-func (m *EFSM) TimeVar(name string) sim.Time {
-	v, _ := m.Vars[name].(sim.Time)
-	return v
-}
-
-// SetTimeVar writes a sim.Time extended state variable.
-func (m *EFSM) SetTimeVar(name string, v sim.Time) { m.Vars[name] = v }

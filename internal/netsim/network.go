@@ -82,9 +82,6 @@ func (n *Network) Lookup(name string) (*Node, bool) {
 	return nd, ok
 }
 
-// Nodes returns all nodes in creation order.
-func (n *Network) Nodes() []*Node { return n.order }
-
 // Connect creates a simplex link from port srcPort of src to port dstPort
 // of dst. Transmission of a packet takes size/rate seconds followed by the
 // propagation delay; zero rate means infinite bandwidth.

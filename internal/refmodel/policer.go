@@ -25,9 +25,6 @@ type PolicerRef struct {
 
 	// OnForward observes every cell the policer lets through.
 	OnForward func(ctx *netsim.Ctx, c *atm.Cell)
-	// OnArrival observes every policed arrival before the decision
-	// (diagnostic).
-	OnArrival func(c *atm.Cell, at sim.Time)
 }
 
 // NewPolicerRef returns an empty reference policer.
@@ -51,9 +48,6 @@ func (p *PolicerRef) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
 	}
 	if c.IsIdle() || c.IsUnassigned() {
 		return
-	}
-	if p.OnArrival != nil {
-		p.OnArrival(c, ctx.Now())
 	}
 	g, registered := p.policers[c.VC()]
 	if !registered {

@@ -87,6 +87,9 @@ func (s *SwitchRef) Timer(ctx *netsim.Ctx, tag interface{}) {
 
 // AccountingRef is the algorithmic reference of the accounting unit: it
 // wraps the charging algorithm of package atm as a netsim sink process.
+// Packets carry *atm.Cell values or raw 53-octet images (conformance
+// vectors); an image that fails the HEC is invisible to the meter,
+// exactly as it is at the bit level.
 type AccountingRef struct {
 	Acct *atm.Accounting
 }
@@ -96,11 +99,18 @@ func (a *AccountingRef) Init(ctx *netsim.Ctx) {}
 
 // Arrival implements netsim.Processor.
 func (a *AccountingRef) Arrival(ctx *netsim.Ctx, pkt *netsim.Packet, port int) {
-	c, ok := pkt.Data.(*atm.Cell)
-	if !ok {
-		panic(fmt.Sprintf("refmodel: AccountingRef got %T, want *atm.Cell", pkt.Data))
+	switch data := pkt.Data.(type) {
+	case *atm.Cell:
+		a.Acct.Observe(data, ctx.Now())
+	case []byte:
+		var img [atm.CellBytes]byte
+		copy(img[:], data)
+		if c, err := atm.Unmarshal(img); err == nil {
+			a.Acct.Observe(c, ctx.Now())
+		}
+	default:
+		panic(fmt.Sprintf("refmodel: AccountingRef got %T, want *atm.Cell or []byte", pkt.Data))
 	}
-	a.Acct.Observe(c, ctx.Now())
 }
 
 // Timer implements netsim.Processor.
